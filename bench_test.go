@@ -273,6 +273,25 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkProbe measures one line-search probe: the chain solve plus
+// only the terms of U, through a reused Workspace. It returns the same
+// bits as BenchmarkEvaluate's U; the gap between the two is what the
+// descent saves per probe.
+func BenchmarkProbe(b *testing.B) {
+	for _, size := range benchSizes {
+		model, p := benchModelSized(b, size.m)
+		ws := model.NewWorkspace()
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := model.ProbeIn(ws, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvaluateAlloc measures the convenience Evaluate path, which
 // builds a fresh Workspace per call — the pre-workspace baseline.
 func BenchmarkEvaluateAlloc(b *testing.B) {

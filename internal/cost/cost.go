@@ -110,7 +110,8 @@ type Model struct {
 	// nonzero cover time live in covIdx/covVal[covPtr[j*m+k]:covPtr[j*m+k+1]].
 	// Geometric topologies cover only the PoIs near the j→k path, so these
 	// lists hold a small multiple of M² entries where the at table holds
-	// M³. Built lazily on first sparse-path gradient (see coverLists).
+	// M³. Built lazily on first use (see coverLists): a sparse-path
+	// evaluation, or a gradient in the cover-list form.
 	covPtr  []int
 	covIdx  []int32
 	covVal  []float64
@@ -271,48 +272,111 @@ func (m *Model) EvaluateSolved(sol *markov.Solution) (*Evaluation, error) {
 		EBarI:     make([]float64, n),
 		CoverTime: make([]float64, n),
 	}
-	if err := m.evaluateInto(ev, make([]float64, n), sol); err != nil {
+	if err := m.evaluateInto(ev, sol); err != nil {
 		return nil, err
 	}
 	return ev, nil
 }
 
-// evaluateInto fills ev (whose G/CBar/EBarI slices must be sized to the
-// topology) with the cost breakdown at sol, using coverNum as scratch. It
-// performs no allocations on the success path.
-func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Solution) error {
-	n := m.top.M()
-	if len(sol.Pi) != n {
+// evaluateInto fills ev (whose G/CBar/EBarI/CoverTime slices must be
+// sized to the topology) with the cost breakdown at sol. It performs no
+// allocations on the success path.
+//
+// probeInto computes the same U from the same helpers, so the two agree
+// bit for bit; anything added to U here must be added there too.
+func (m *Model) evaluateInto(ev *Evaluation, sol *markov.Solution) error {
+	if err := m.checkSolution(sol); err != nil {
+		return err
+	}
+	g, cb, eb, ct := ev.G, ev.CBar, ev.EBarI, ev.CoverTime
+	*ev = Evaluation{Sol: sol, G: g, CBar: cb, EBarI: eb, CoverTime: ct}
+
+	// Coverage: G_i and the raw numerator; C̄_i from Eq. 2.
+	ev.TotalTime = m.coverage(g, ct, sol)
+	for i := range g {
+		cb[i] = ct[i] / ev.TotalTime
+		ev.DeltaC += g[i] * g[i]
+	}
+	ev.CoverageTerm = m.coverageTerm(g)
+
+	var sumE2 float64
+	var err error
+	if ev.ExposureTerm, sumE2, err = m.exposure(eb, sol); err != nil {
+		return err
+	}
+	ev.EBar = math.Sqrt(sumE2)
+	ev.Penalty = m.penalty(sol.P)
+
+	// §VII extensions: D and H are reported whatever their weights.
+	ev.Energy = m.energy(sol)
+	ev.EnergyTerm = m.energyTerm(ev.Energy)
+	ev.Entropy = sol.EntropyRate()
+	ev.EntropyTerm = m.entropyTerm(ev.Entropy)
+
+	ev.Objective = ev.CoverageTerm + ev.ExposureTerm + ev.EnergyTerm + ev.EntropyTerm
+	ev.U = ev.Objective + ev.Penalty
+	return nil
+}
+
+// probeInto returns U at sol — bit for bit the U that evaluateInto
+// computes — without the report fields: the dense coverage fold skips
+// the raw numerator, and energy and entropy are computed only when they
+// carry weight. g, eBar and coverNum are scratch sized to the topology.
+func (m *Model) probeInto(g, eBar, coverNum []float64, sol *markov.Solution) (float64, error) {
+	if err := m.checkSolution(sol); err != nil {
+		return 0, err
+	}
+	if sol.Method != markov.MethodSparse {
+		coverNum = nil // G comes straight from the at table
+	}
+	m.coverage(g, coverNum, sol)
+	exposureTerm, _, err := m.exposure(eBar, sol)
+	if err != nil {
+		return 0, err
+	}
+	// A disabled extension contributes the same +0 evaluateInto adds.
+	var energyTerm, entropyTerm float64
+	if m.w.EnergyWeight > 0 {
+		energyTerm = m.energyTerm(m.energy(sol))
+	}
+	if m.w.EntropyWeight > 0 {
+		entropyTerm = m.entropyTerm(sol.EntropyRate())
+	}
+	objective := m.coverageTerm(g) + exposureTerm + energyTerm + entropyTerm
+	return objective + m.penalty(sol.P), nil
+}
+
+// checkSolution rejects a solution sized for a different topology.
+func (m *Model) checkSolution(sol *markov.Solution) error {
+	if n := m.top.M(); len(sol.Pi) != n {
 		return fmt.Errorf("%w: solution for %d states, topology has %d",
 			ErrWeights, len(sol.Pi), n)
 	}
-	g, cb, eb, ct := ev.G, ev.CBar, ev.EBarI, ev.CoverTime
-	if ct == nil {
-		ct = make([]float64, n)
-	}
-	*ev = Evaluation{Sol: sol, G: g, CBar: cb, EBarI: eb, CoverTime: ct}
-	for i := 0; i < n; i++ {
-		g[i], cb[i], eb[i], coverNum[i] = 0, 0, 0, 0
-	}
-	p := sol.P
+	return nil
+}
 
-	// Coverage: G_i = Σ_{j,k} π_j p_jk a^{(i)}_{jk}; C̄_i from Eq. 2.
-	// The dense path streams the i-contiguous rows of the coverage tables
-	// (same per-(j,k) visit order and per-slot fold as the historic
-	// accessor-based loop, so the sums carry identical bits). The sparse
-	// path (solutions whose Z² was elided) never touches the M³ at table:
-	// it uses the identity G_i = coverNum_i − Φ_i·Σ π_j p_jk T_jk, which
-	// is the same sum reassociated — exact in exact arithmetic, within
-	// markov.SparseTol in floating point.
-	// The mode test is hoisted out of the O(M²) transition sweep into two
-	// separate loop nests: a per-(j,k) branch on an invariant defeats the
-	// inner-loop unrolling the dense path relies on. Both nests keep the
-	// historic per-(j,k) visit order and per-slot fold, so the sums carry
-	// identical bits to the fused loop they replace.
-	var totalTime float64 // Σ π_j p_jk T_jk
-	pd := p.Data()
-	if sol.Z2 == nil {
-		// Sparse mode: never touch the M³ at table.
+// coverage folds the per-PoI coverage discrepancies
+// G_i = Σ_{j,k} π_j p_jk a^{(i)}_{jk} into g and returns the mean time
+// per transition Σ_{j,k} π_j p_jk T_jk. When coverNum is non-nil it also
+// receives the raw numerator Σ_{j,k} π_j p_jk T_{jk,i}; sparse solutions
+// require it.
+//
+// Dense solutions stream the i-contiguous rows of the M³ at table, in the
+// historic per-(j,k) visit order and per-slot fold, so the sums carry
+// identical bits. Sparse solutions never touch the at table: they fold
+// coverNum over the per-transition cover lists and use the identity
+// G_i = coverNum_i − Φ_i·Σ π_j p_jk T_jk, the same sum reassociated
+// (exact in exact arithmetic, within markov.SparseTol in floating point).
+// The cover lists skip only exact-zero cover times, whose products are
+// +0.0 and leave every per-PoI fold unchanged.
+func (m *Model) coverage(g, coverNum []float64, sol *markov.Solution) float64 {
+	n := m.top.M()
+	clear(g)
+	clear(coverNum)
+	pd := sol.P.Data()
+	var totalTime float64
+	if sol.Method == markov.MethodSparse {
+		covPtr, covIdx, covVal := m.coverLists()
 		for j := 0; j < n; j++ {
 			pij := sol.Pi[j]
 			prow := pd[j*n : (j+1)*n]
@@ -321,46 +385,61 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 				if w == 0 {
 					continue
 				}
-				totalTime += w * m.travel[j*n+k]
-				crow := m.top.CoverRow(j, k)
-				for i := 0; i < n; i++ {
-					coverNum[i] += w * crow[i]
+				slot := j*n + k
+				totalTime += w * m.travel[slot]
+				for t := covPtr[slot]; t < covPtr[slot+1]; t++ {
+					coverNum[covIdx[t]] += w * covVal[t]
 				}
 			}
 		}
 		for i := 0; i < n; i++ {
 			g[i] = coverNum[i] - m.top.TargetAt(i)*totalTime
 		}
-	} else {
-		at := m.atTable()
-		for j := 0; j < n; j++ {
-			pij := sol.Pi[j]
-			prow := pd[j*n : (j+1)*n]
-			for k := 0; k < n; k++ {
-				w := pij * prow[k]
-				if w == 0 {
-					continue
-				}
-				totalTime += w * m.travel[j*n+k]
-				crow := m.top.CoverRow(j, k)
-				arow := at[(j*n+k)*n : (j*n+k+1)*n]
-				for i := 0; i < n; i++ {
-					coverNum[i] += w * crow[i]
+		return totalTime
+	}
+	at := m.atTable()
+	for j := 0; j < n; j++ {
+		pij := sol.Pi[j]
+		prow := pd[j*n : (j+1)*n]
+		for k := 0; k < n; k++ {
+			w := pij * prow[k]
+			if w == 0 {
+				continue
+			}
+			totalTime += w * m.travel[j*n+k]
+			arow := at[(j*n+k)*n : (j*n+k+1)*n]
+			if coverNum == nil {
+				arow = arow[:len(g)]
+				for i := range g {
 					g[i] += w * arow[i]
 				}
+				continue
+			}
+			crow := m.top.CoverRow(j, k)
+			for i := 0; i < n; i++ {
+				coverNum[i] += w * crow[i]
+				g[i] += w * arow[i]
 			}
 		}
 	}
-	ev.TotalTime = totalTime
-	for i := 0; i < n; i++ {
-		ct[i] = coverNum[i]
-		ev.CBar[i] = coverNum[i] / totalTime
-		ev.CoverageTerm += 0.5 * m.w.Alpha[i] * ev.G[i] * ev.G[i]
-		ev.DeltaC += ev.G[i] * ev.G[i]
-	}
+	return totalTime
+}
 
-	// Exposure: Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3).
-	var sumE2 float64
+// coverageTerm returns ½ Σ_i α_i G_i².
+func (m *Model) coverageTerm(g []float64) float64 {
+	var s float64
+	for i, gi := range g {
+		s += 0.5 * m.w.Alpha[i] * gi * gi
+	}
+	return s
+}
+
+// exposure fills eBar with the per-PoI mean exposure times
+// Ē_i = Σ_{j≠i} p_ij R_ji / (1 − p_ii) (Eq. 3) and returns the exposure
+// term ½ Σ_i β_i Ē_i² together with Σ_i Ē_i².
+func (m *Model) exposure(eBar []float64, sol *markov.Solution) (term, sumSq float64, err error) {
+	n := m.top.M()
+	pd := sol.P.Data()
 	rd := sol.R.Data()
 	for i := 0; i < n; i++ {
 		prow := pd[i*n : (i+1)*n]
@@ -368,7 +447,7 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 		if denom <= 0 {
 			// p_ii = 1 would make the chain reducible; Solve rejects that
 			// earlier, so this is purely defensive.
-			return fmt.Errorf("%w: p_%d%d = 1", markov.ErrNotErgodic, i, i)
+			return 0, 0, fmt.Errorf("%w: p_%d%d = 1", markov.ErrNotErgodic, i, i)
 		}
 		var s float64
 		for j := 0; j < n; j++ {
@@ -377,33 +456,39 @@ func (m *Model) evaluateInto(ev *Evaluation, coverNum []float64, sol *markov.Sol
 			}
 			s += prow[j] * rd[j*n+i]
 		}
-		ev.EBarI[i] = s / denom
-		ev.ExposureTerm += 0.5 * m.w.Beta[i] * ev.EBarI[i] * ev.EBarI[i]
-		sumE2 += ev.EBarI[i] * ev.EBarI[i]
+		e := s / denom
+		eBar[i] = e
+		term += 0.5 * m.w.Beta[i] * e * e
+		sumSq += e * e
 	}
-	ev.EBar = math.Sqrt(sumE2)
+	return term, sumSq, nil
+}
 
-	// Barrier penalty (Eq. 9).
-	for _, v := range pd {
-		ev.Penalty += barrier(v, m.w.Epsilon)
+// penalty returns the Eq. 9 barrier summed over every entry of p.
+func (m *Model) penalty(p *mat.Matrix) float64 {
+	var s float64
+	for _, v := range p.Data() {
+		s += barrier(v, m.w.Epsilon)
 	}
+	return s
+}
 
-	// §VII extensions.
-	if m.w.EnergyWeight > 0 {
-		ev.Energy = m.energy(sol)
-		d := ev.Energy - m.w.EnergyTarget
-		ev.EnergyTerm = 0.5 * m.w.EnergyWeight * d * d
-	} else {
-		ev.Energy = m.energy(sol)
+// energyTerm returns ½ w_D (D − γ)², zero when the energy objective is
+// disabled.
+func (m *Model) energyTerm(d float64) float64 {
+	if m.w.EnergyWeight <= 0 {
+		return 0
 	}
-	ev.Entropy = sol.EntropyRate()
-	if m.w.EntropyWeight > 0 {
-		ev.EntropyTerm = -m.w.EntropyWeight * ev.Entropy
-	}
+	x := d - m.w.EnergyTarget
+	return 0.5 * m.w.EnergyWeight * x * x
+}
 
-	ev.Objective = ev.CoverageTerm + ev.ExposureTerm + ev.EnergyTerm + ev.EntropyTerm
-	ev.U = ev.Objective + ev.Penalty
-	return nil
+// entropyTerm returns −λH, zero when the entropy reward is disabled.
+func (m *Model) entropyTerm(h float64) float64 {
+	if m.w.EntropyWeight <= 0 {
+		return 0
+	}
+	return -m.w.EntropyWeight * h
 }
 
 // energy returns D = Σ_i π_i Σ_{j≠i} p_ij d_ij.

@@ -126,12 +126,12 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 		beta = m.w.Beta
 	}
 	ws.beta = beta
-	// Sparse solutions (Z² elided) flip the coverage partials to the
-	// cover-list form and the Eq. 10 contractions to factor solves. A
-	// caller-supplied coverCoef always uses the cover-list form: the lists
-	// are target-independent, which is what lets the override carry its own
+	// Sparse solutions flip the coverage partials to the cover-list form
+	// and the Eq. 10 contractions to factor solves. A caller-supplied
+	// coverCoef always uses the cover-list form: the lists are
+	// target-independent, which is what lets the override carry its own
 	// Φ̃ through coverPhi.
-	sparseMode := sol.Z2 == nil
+	sparseMode := sol.Method == markov.MethodSparse
 	ws.sparseCover = sparseMode || coverCoef != nil
 	if ws.sparseCover && ws.anyCover {
 		if coverCoef == nil {
@@ -217,16 +217,25 @@ func (m *Model) gradientIntoWith(ws *Workspace, ev *Evaluation, coverCoef []floa
 			colsum[j] += v
 		}
 	}
-	if sol.Z2 == nil {
-		// Z² was elided: fold the vector through Z twice instead.
+	if sparseMode {
+		// Fold the vector through Z twice instead of forming Z².
 		if err := mat.MulVecTo(ws.r2, sol.Z, colsum); err != nil {
 			return nil, err
 		}
 		if err := mat.MulVecTo(ws.r, sol.Z, ws.r2); err != nil {
 			return nil, err
 		}
-	} else if err := mat.MulVecTo(ws.r, sol.Z2, colsum); err != nil {
-		return nil, err
+	} else {
+		// The dense reference forms Z² once per gradient, in tmp (idle
+		// since term2a consumed it); the pooled product has the serial
+		// product's bits.
+		z2 := ws.tmp
+		if err := ws.mulRows(z2, sol.Z, sol.Z, width); err != nil {
+			return nil, err
+		}
+		if err := mat.MulVecTo(ws.r, z2, colsum); err != nil {
+			return nil, err
+		}
 	}
 
 	gd := ws.grad.Data()

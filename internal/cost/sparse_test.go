@@ -180,7 +180,7 @@ func TestSparseGradientAbsorbingRowGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvaluateIn: %v", err)
 	}
-	if ev.Sol.Z2 != nil {
+	if ev.Sol.Method != markov.MethodSparse {
 		t.Fatal("test setup: workspace did not take the sparse path")
 	}
 	if ev.EBarI[0] == 0 {

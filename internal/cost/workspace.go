@@ -7,11 +7,11 @@ import (
 )
 
 // Workspace owns every buffer one evaluation/gradient pass needs: the
-// Markov solver's π/Z/Z²/R storage, the Evaluation result slices, and the
-// scratch matrices of the Eq. 10 contractions. With a Workspace, a model's
-// EvaluateIn and GradientIn perform zero allocations in steady state —
-// the property the descent hot loop (dozens of evaluations per line
-// search) depends on.
+// Markov solver's π/W/Z/R storage, the Evaluation result slices, and the
+// scratch matrices of the Eq. 10 contractions (the dense gradient forms
+// Z² in one of them). With a Workspace, a model's EvaluateIn, ProbeIn and
+// GradientIn perform zero allocations in steady state — the property the
+// descent hot loop (dozens of probes per line search) depends on.
 //
 // A Workspace is not safe for concurrent use: the Evaluation and gradient
 // returned by EvaluateIn/GradientIn alias its buffers and are overwritten
@@ -19,10 +19,9 @@ import (
 // one to every Optimizer, so RunManyParallel workers never share);
 // Evaluation.Clone detaches a result that must survive longer.
 type Workspace struct {
-	n        int
-	solver   *markov.Solver
-	ev       Evaluation
-	coverNum []float64
+	n      int
+	solver *markov.Solver
+	ev     Evaluation
 
 	// pool, when set, row-partitions the gradient phases and the Eq. 10
 	// matrix products across its workers. Results are bit-for-bit
@@ -35,7 +34,7 @@ type Workspace struct {
 	colsum []float64
 	q      []float64
 	r      []float64
-	r2     []float64 // Z·colsum staging when Z² is elided (sparse path)
+	r2     []float64 // Z·colsum staging for the sparse path's Z·(Z·v)
 	carr   []float64 // coverage coefficients c_i = α_i G_i
 	// Sparse-path coverage state for the current gradient pass.
 	sparseCover bool
@@ -47,7 +46,7 @@ type Workspace struct {
 	dUdZ   *mat.Matrix
 	dUdP   *mat.Matrix
 	zt     *mat.Matrix
-	tmp    *mat.Matrix
+	tmp    *mat.Matrix // dUdZ·Zᵀ, then Z² on the dense path
 	term2a *mat.Matrix
 	grad   *mat.Matrix
 
@@ -72,7 +71,6 @@ func (m *Model) NewWorkspace() *Workspace {
 			EBarI:     make([]float64, n),
 			CoverTime: make([]float64, n),
 		},
-		coverNum: make([]float64, n),
 	}
 }
 
@@ -139,10 +137,25 @@ func (m *Model) EvaluateIn(ws *Workspace, p *mat.Matrix) (*Evaluation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.evaluateInto(&ws.ev, ws.coverNum, sol); err != nil {
+	if err := m.evaluateInto(&ws.ev, sol); err != nil {
 		return nil, err
 	}
 	return &ws.ev, nil
+}
+
+// ProbeIn returns the cost U_ε at p — bit for bit EvaluateIn(ws, p).U,
+// with the same errors — without building the rest of the breakdown. It
+// is the line-search probe: the chain solve plus the coverage, exposure
+// and barrier folds, and the §VII terms only when they carry weight. It
+// uses the workspace's buffers, so an Evaluation returned earlier by
+// EvaluateIn or GradientIn on ws is invalid afterwards. Beyond what the
+// chain solve itself allocates, it allocates nothing.
+func (m *Model) ProbeIn(ws *Workspace, p *mat.Matrix) (float64, error) {
+	sol, err := ws.solver.Solve(p)
+	if err != nil {
+		return 0, err
+	}
+	return m.probeInto(ws.ev.G, ws.ev.EBarI, ws.ev.CoverTime, sol)
 }
 
 // GradientIn evaluates the cost and assembles the unprojected Eq. 10

@@ -924,11 +924,11 @@ func (o *Optimizer) phiEvalIn(ws *cost.Workspace, cand, p, dir *mat.Matrix, delt
 	if err := mat.AddInPlace(cand, delta, dir); err != nil {
 		return math.Inf(1)
 	}
-	ev, err := o.model.EvaluateIn(ws, cand)
+	u, err := o.model.ProbeIn(ws, cand)
 	if err != nil {
 		return math.Inf(1)
 	}
-	return ev.U
+	return u
 }
 
 // RunMany executes n independent runs with seeds split from opts.Seed and

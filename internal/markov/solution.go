@@ -9,9 +9,10 @@ import (
 // Solution bundles the limiting quantities of an ergodic chain that the
 // cost function and its gradient consume: the stationary distribution π,
 // the matrix W whose rows all equal π, the fundamental matrix
-// Z = (I - P + W)^{-1} (Eq. 7), its square, and the mean first-passage
-// matrix R (Eq. 8). Everything is computed once in Solve and treated as
-// immutable afterwards.
+// Z = (I - P + W)^{-1} (Eq. 7), and the mean first-passage matrix R
+// (Eq. 8). Everything is computed once in Solve and treated as immutable
+// afterwards. Z² is not part of a Solution: the cost value never reads
+// it, so the gradient (and DZ) form it themselves when they need it.
 type Solution struct {
 	// P is the transition matrix the solution was computed from.
 	P *mat.Matrix
@@ -21,16 +22,17 @@ type Solution struct {
 	W *mat.Matrix
 	// Z is the fundamental matrix (I - P + W)^{-1} (Eq. 7).
 	Z *mat.Matrix
-	// Z2 is Z*Z, needed by the perturbation formula for dZ/dt. Sparse
-	// solves (MethodSparse) leave it nil — consumers that only fold Z²
-	// against a vector compute Z·(Z·v) instead, and DZ rebuilds it on
-	// demand.
-	Z2 *mat.Matrix
 	// R is the mean first-passage time matrix: R_ij is the expected number
 	// of transitions to first reach j starting from i, with
 	// R_ii = 1/π_i the mean return time (Eq. 8 with the column-scaling
 	// reading of R = (I - Z + J Z_dg) D; see DESIGN.md errata).
 	R *mat.Matrix
+	// Method is the backend that produced the solution: MethodSparse only
+	// when the sparse factorization succeeded, MethodDense on the dense
+	// path and after a sparse solve fell back to it. Consumers branch on
+	// it to pick between the dense and sparse forms of their folds; unlike
+	// Sparse(), it survives Clone.
+	Method Method
 
 	// sparse holds the factorization handle of a MethodSparse solve, nil
 	// on the dense path and after Clone. Access via Sparse().
@@ -158,14 +160,11 @@ func (s *Solution) DZ(v *mat.Matrix) (*mat.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	z2 := s.Z2
-	if z2 == nil {
-		// Sparse solves elide Z²; rebuild it here (DZ is an off-hot-path
-		// diagnostic, so the extra product is acceptable).
-		z2, err = mat.Mul(s.Z, s.Z)
-		if err != nil {
-			return nil, err
-		}
+	// Solutions do not carry Z²; DZ is an off-hot-path diagnostic, so it
+	// rebuilds the product here.
+	z2, err := mat.Mul(s.Z, s.Z)
+	if err != nil {
+		return nil, err
 	}
 	wvz2, err := mat.Mul(wv, z2)
 	if err != nil {

@@ -43,7 +43,6 @@ func NewSolver(n int) *Solver {
 			Pi: make([]float64, n),
 			W:  mat.New(n, n),
 			Z:  mat.New(n, n),
-			Z2: mat.New(n, n),
 			R:  mat.New(n, n),
 		},
 		lu:    mat.NewLU(n),
@@ -93,10 +92,7 @@ func (s *Solver) Solve(p *mat.Matrix) (*Solution, error) {
 func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
 	n := s.n
 	s.sol.sparse = nil
-	if s.sol.Z2 == nil {
-		// A prior sparse solve elided Z²; the dense contract includes it.
-		s.sol.Z2 = mat.New(n, n)
-	}
+	s.sol.Method = MethodDense
 	if err := s.stationary(p); err != nil {
 		return nil, err
 	}
@@ -127,9 +123,6 @@ func (s *Solver) solveDense(p *mat.Matrix) (*Solution, error) {
 	}
 	if err := s.lu.InverseTo(s.sol.Z); err != nil {
 		return nil, fmt.Errorf("markov: invert I-P+W: %w", err)
-	}
-	if err := mat.MulTo(s.sol.Z2, s.sol.Z, s.sol.Z); err != nil {
-		return nil, err
 	}
 
 	// R_ij = (δ_ij - z_ij + z_jj) / π_j. The diagonal of Z is staged into
@@ -280,18 +273,16 @@ func checkPositive(pi []float64) error {
 
 // Clone returns a deep copy of the Solution, detaching it from whatever
 // Solver buffers back it. Use it to retain a Solution past the next Solve
-// call on the owning Solver. The sparse factorization handle, when
-// present, is not carried over: it aliases solver-owned factor storage.
+// call on the owning Solver. The Method marker is kept; the sparse
+// factorization handle, when present, is not carried over: it aliases
+// solver-owned factor storage.
 func (s *Solution) Clone() *Solution {
-	c := &Solution{
-		P:  s.P.Clone(),
-		Pi: append([]float64(nil), s.Pi...),
-		W:  s.W.Clone(),
-		Z:  s.Z.Clone(),
-		R:  s.R.Clone(),
+	return &Solution{
+		P:      s.P.Clone(),
+		Pi:     append([]float64(nil), s.Pi...),
+		W:      s.W.Clone(),
+		Z:      s.Z.Clone(),
+		R:      s.R.Clone(),
+		Method: s.Method,
 	}
-	if s.Z2 != nil {
-		c.Z2 = s.Z2.Clone()
-	}
-	return c
 }

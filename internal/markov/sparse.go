@@ -13,18 +13,18 @@ type Method int
 
 const (
 	// MethodDense is the bit-exact reference path: dense LU with partial
-	// pivoting, full Z and Z² (the default; golden traces pin it).
+	// pivoting and a full LU inverse for Z (the default; golden traces
+	// pin it).
 	MethodDense Method = iota
 	// MethodSparse factors the sparse replaced-row stationary system with
 	// a fill-reducing sparse LU and absorbs the W = 1πᵀ densification of
 	// the fundamental-matrix system as a rank-2 Sherman–Morrison–Woodbury
 	// update of that one factorization, so per-solve cost scales with
 	// the factor fill instead of M³. Results agree with MethodDense to
-	// SparseTol (see below); Z² is not materialized (Solution.Z2 is nil)
-	// and consumers fall back to two Z-products. When the no-pivoting
-	// sparse factorization rejects a near-singular pivot the solver
-	// transparently falls back to the dense path, so MethodSparse never
-	// trades correctness for speed.
+	// SparseTol (see below). When the no-pivoting sparse factorization
+	// rejects a near-singular pivot the solver transparently falls back
+	// to the dense path (and the Solution's Method records MethodDense),
+	// so MethodSparse never trades correctness for speed.
 	MethodSparse
 )
 
@@ -263,11 +263,6 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 		return nil, err
 	}
 
-	// Z² is deliberately not materialized: its only consumer outside this
-	// package folds it against a vector, which two Z·(Z·v) products cover
-	// at O(n²) instead of the O(n³) product here.
-	s.sol.Z2 = nil
-
 	// R_ij = (δ_ij − z_ij + z_jj) / π_j, as on the dense path.
 	rd := s.sol.R.Data()
 	zdiag := s.b
@@ -290,5 +285,6 @@ func (s *Solver) solveSparse(p *mat.Matrix) (*Solution, error) {
 		return nil, err
 	}
 	s.sol.sparse = &SparseFactors{lr: lr, nnz: statLU.NNZ()}
+	s.sol.Method = MethodSparse
 	return &s.sol, nil
 }

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -99,8 +100,8 @@ func TestSparseSolveMatchesDense(t *testing.T) {
 			if d := maxRelDiff(ssol.R, dsol.R); d > SparseTol {
 				t.Fatalf("R differs by %g (> %g)", d, SparseTol)
 			}
-			if ssol.Z2 != nil {
-				t.Fatalf("sparse solve materialized Z2")
+			if ssol.Method != MethodSparse || dsol.Method != MethodDense {
+				t.Fatalf("solutions marked %v (sparse) and %v (dense)", ssol.Method, dsol.Method)
 			}
 			if ssol.Sparse() == nil {
 				t.Fatalf("sparse solve did not attach factors")
@@ -159,14 +160,14 @@ func TestSparseSolutionCloneAndDZ(t *testing.T) {
 	dsol, ssol := solveBoth(t, p)
 
 	c := ssol.Clone()
-	if c.Z2 != nil {
-		t.Fatalf("clone of sparse solution grew a Z2")
+	if c.Method != MethodSparse {
+		t.Fatalf("clone of sparse solution marked %v, want sparse", c.Method)
 	}
 	if c.Sparse() != nil {
 		t.Fatalf("clone carried the solver-owned sparse factors")
 	}
 
-	// DZ must work without Z2 and agree with the dense solution's DZ.
+	// DZ rebuilds Z² itself and must agree with the dense solution's DZ.
 	n := p.Rows()
 	v := mat.New(n, n)
 	vd := v.Data()
@@ -201,26 +202,99 @@ func TestSolverMethodSwitchRestoresDense(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sparse solve: %v", err)
 	}
-	if sol.Z2 != nil {
-		t.Fatalf("sparse solve materialized Z2")
+	if sol.Method != MethodSparse || sol.Sparse() == nil {
+		t.Fatalf("sparse solve marked %v with factors %v", sol.Method, sol.Sparse() != nil)
 	}
 	s.SetMethod(MethodDense)
 	sol, err = s.Solve(p)
 	if err != nil {
 		t.Fatalf("dense solve after sparse: %v", err)
 	}
-	if sol.Z2 == nil {
-		t.Fatalf("dense solve did not restore Z2")
+	if sol.Method != MethodDense {
+		t.Fatalf("dense solve after sparse marked %v", sol.Method)
 	}
 	if sol.Sparse() != nil {
 		t.Fatalf("dense solve kept stale sparse factors")
 	}
-	// Z·Z² consistency: Z2 must equal Z*Z on the restored dense path.
-	zz, err := mat.Mul(sol.Z, sol.Z)
-	if err != nil {
-		t.Fatalf("Z*Z: %v", err)
+	// The dense solve after a sparse one must reproduce a fresh dense
+	// solver's bits: nothing of the sparse solve may leak through.
+	requireSameSolution(t, sol, denseSolve(t, p))
+}
+
+// stickyP returns an n-state chain whose state 0 leaves with probability
+// only leave: every other row is uniform. The stationary system's pivot
+// for state 0 is ~leave against row entries of 1/n, which the
+// no-pivoting sparse factorization rejects for leave ≲ 1e-13 while the
+// pivoted dense LU solves it.
+func stickyP(n int, leave float64) *mat.Matrix {
+	p := mat.New(n, n)
+	for j := 0; j < n; j++ {
+		p.Set(0, j, leave/float64(n-1))
+		for i := 1; i < n; i++ {
+			p.Set(i, j, 1/float64(n))
+		}
 	}
-	if d := maxRelDiff(sol.Z2, zz); d != 0 {
-		t.Fatalf("restored Z2 differs from Z*Z by %g", d)
+	p.Set(0, 0, 1-leave)
+	return p
+}
+
+func denseSolve(t *testing.T, p *mat.Matrix) *Solution {
+	t.Helper()
+	sol, err := NewSolver(p.Rows()).Solve(p)
+	if err != nil {
+		t.Fatalf("dense solve: %v", err)
+	}
+	return sol
+}
+
+// requireSameSolution fails unless got and want hold bit-identical
+// P, π, W, Z and R.
+func requireSameSolution(t *testing.T, got, want *Solution) {
+	t.Helper()
+	for name, pair := range map[string][2][]float64{
+		"P":  {got.P.Data(), want.P.Data()},
+		"Pi": {got.Pi, want.Pi},
+		"W":  {got.W.Data(), want.W.Data()},
+		"Z":  {got.Z.Data(), want.Z.Data()},
+		"R":  {got.R.Data(), want.R.Data()},
+	} {
+		for i := range pair[1] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("%s[%d] = %v, dense reference has %v", name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+}
+
+// TestSolverSparseFallbackMarkedDense drives the ErrSingular fallback of
+// a MethodSparse Solve between two healthy sparse solves: the fallback
+// solution must come from the dense path, be marked MethodDense with no
+// factors, and match a pure dense solve bit for bit, and the healthy
+// solves on either side must be marked sparse.
+func TestSolverSparseFallbackMarkedDense(t *testing.T) {
+	for _, n := range []int{3, 8} {
+		sticky := stickyP(n, 1e-13)
+		healthy := sparseRingP(rng.New(3), n, 2)
+		s := NewSolver(n)
+		s.SetMethod(MethodSparse)
+		if _, err := s.solveSparse(sticky); !errors.Is(err, mat.ErrSingular) {
+			t.Fatalf("n=%d: sparse factorization err = %v, want ErrSingular", n, err)
+		}
+		for step, p := range []*mat.Matrix{healthy, sticky, healthy} {
+			sol, err := s.Solve(p)
+			if err != nil {
+				t.Fatalf("n=%d step %d: Solve: %v", n, step, err)
+			}
+			if p == healthy {
+				if sol.Method != MethodSparse || sol.Sparse() == nil {
+					t.Fatalf("n=%d step %d: healthy solve marked %v", n, step, sol.Method)
+				}
+				continue
+			}
+			if sol.Method != MethodDense || sol.Sparse() != nil {
+				t.Fatalf("n=%d: fallback marked %v with factors %v", n, sol.Method, sol.Sparse() != nil)
+			}
+			requireSameSolution(t, sol, denseSolve(t, p))
+		}
 	}
 }
