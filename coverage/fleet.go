@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/descent"
 	"repro/internal/fleet"
-	"repro/internal/markov"
 	"repro/internal/mat"
 )
 
@@ -31,80 +30,6 @@ type FleetPlan struct {
 	UnionShare []float64 `json:"unionShare"`
 	// MinExposure is the per-PoI fleet exposure min_s Ē_i^(s).
 	MinExposure []float64 `json:"minExposure"`
-}
-
-// fleetOptions lowers the public Options to the internal stacked-descent
-// form. The fleet search is always the perturbed variant — the stacked
-// landscape has at least as many local optima as the single-sensor one —
-// so Basic/Adaptive selections are rejected rather than silently
-// reinterpreted.
-func (o Options) fleetOptions(restart, sensors int, resp [][]float64) (fleet.Options, error) {
-	if o.Algorithm != PerturbedDescent {
-		return fleet.Options{}, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
-	}
-	var solver markov.Method
-	switch o.Solver {
-	case "", "dense":
-		solver = markov.MethodDense
-	case "sparse":
-		solver = markov.MethodSparse
-	default:
-		return fleet.Options{}, fmt.Errorf("coverage: unknown solver %q (want \"dense\" or \"sparse\")", o.Solver)
-	}
-	var initial []*mat.Matrix
-	if o.InitialMatrices != nil {
-		initial = make([]*mat.Matrix, len(o.InitialMatrices))
-		for s, rows := range o.InitialMatrices {
-			m, err := mat.NewFromRows(rows)
-			if err != nil {
-				return fleet.Options{}, fmt.Errorf("coverage: initial matrix %d: %w", s, err)
-			}
-			initial[s] = m
-		}
-	}
-	fo := fleet.Options{
-		Sensors:        sensors,
-		Responsibility: resp,
-		MaxIters:       o.MaxIters,
-		Seed:           o.Seed,
-		NoiseStdDev:    o.NoiseStdDev,
-		Workers:        o.Workers,
-		Solver:         solver,
-		InitialPs:      initial,
-		RecordTrace:    o.RecordTrace,
-	}
-	if o.OnProgress != nil || o.OnIteration != nil {
-		every := o.ProgressEvery
-		if every <= 0 {
-			every = DefaultProgressEvery
-		}
-		onProgress := o.OnProgress
-		onIteration := o.OnIteration
-		fo.OnIteration = func(rec descent.IterRecord, _ []*mat.Matrix) {
-			if onIteration != nil {
-				onIteration(IterationEvent{
-					Restart:   restart,
-					Iteration: rec.Iter,
-					Cost:      rec.U,
-					DeltaC:    rec.DeltaC,
-					EBar:      rec.EBar,
-					Step:      rec.Step,
-					Accepted:  rec.Accepted,
-					Probes:    rec.Probes,
-				})
-			}
-			if onProgress != nil && (rec.Iter == 1 || rec.Iter%every == 0) {
-				onProgress(Progress{
-					Restart:   restart,
-					Iteration: rec.Iter,
-					Cost:      rec.U,
-					DeltaC:    rec.DeltaC,
-					EBar:      rec.EBar,
-				})
-			}
-		}
-	}
-	return fo, nil
 }
 
 // validateInitialFleet rejects malformed warm-start stacks.
@@ -156,29 +81,7 @@ func OptimizeFleet(scn Scenario, obj Objectives, opts Options, sensors int, resp
 // cancellation the best stack found so far is returned with an error
 // wrapping ctx.Err() (nil plan when nothing completed).
 func OptimizeFleetContext(ctx context.Context, scn Scenario, obj Objectives, opts Options, sensors int, responsibility [][]float64) (*Plan, error) {
-	eng, err := planner(scn, obj)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.validateInitialFleet(len(scn.PoIs), sensors); err != nil {
-		return nil, err
-	}
-	fopts, err := opts.fleetOptions(0, sensors, responsibility)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fleet.OptimizeContext(ctx, eng.Model(), fopts)
-	if err != nil {
-		if res != nil {
-			plan, perr := fleetPlanFromResult(eng, sensors, responsibility, res)
-			if perr != nil {
-				return nil, fmt.Errorf("coverage: %w", err)
-			}
-			return plan, fmt.Errorf("coverage: %w", err)
-		}
-		return nil, fmt.Errorf("coverage: %w", err)
-	}
-	return fleetPlanFromResult(eng, sensors, responsibility, res)
+	return optimizeFleet(ctx, scn, obj, opts, sensors, responsibility, []uint64{opts.Seed})
 }
 
 // OptimizeFleetBest runs `restarts` independent joint optimizations with
@@ -196,6 +99,12 @@ func OptimizeFleetBestContext(ctx context.Context, scn Scenario, obj Objectives,
 	if restarts <= 0 {
 		return nil, fmt.Errorf("%w: %d restarts", ErrObjectives, restarts)
 	}
+	return optimizeFleet(ctx, scn, obj, opts, sensors, responsibility, SplitSeeds(opts.Seed, restarts))
+}
+
+// optimizeFleet runs one joint descent per seed through runRestarts and
+// converts the best stack into a plan.
+func optimizeFleet(ctx context.Context, scn Scenario, obj Objectives, opts Options, sensors int, responsibility [][]float64, seeds []uint64) (*Plan, error) {
 	eng, err := planner(scn, obj)
 	if err != nil {
 		return nil, err
@@ -203,43 +112,39 @@ func OptimizeFleetBestContext(ctx context.Context, scn Scenario, obj Objectives,
 	if err := opts.validateInitialFleet(len(scn.PoIs), sensors); err != nil {
 		return nil, err
 	}
-	seeds := SplitSeeds(opts.Seed, restarts)
-	var best *fleet.Result
-	for r := 0; r < restarts; r++ {
-		runOpts := opts
-		runOpts.Seed = seeds[r]
-		fopts, err := runOpts.fleetOptions(r, sensors, responsibility)
-		if err != nil {
-			return nil, err
-		}
-		res, err := fleet.OptimizeContext(ctx, eng.Model(), fopts)
-		if res != nil && (best == nil || res.Eval.U < best.Eval.U) {
-			best = res
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				if best == nil {
-					return nil, fmt.Errorf("coverage: %w", err)
-				}
-				plan, perr := fleetPlanFromResult(eng, sensors, responsibility, best)
-				if perr != nil {
-					return nil, fmt.Errorf("coverage: %w", err)
-				}
-				return plan, fmt.Errorf("coverage: %w", err)
-			}
-			return nil, fmt.Errorf("coverage: %w", err)
-		}
+	fm, err := fleet.NewModel(eng.Model(), sensors, responsibility)
+	if err != nil {
+		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	return fleetPlanFromResult(eng, sensors, responsibility, best)
+	best, err := runRestarts(ctx, opts, seeds, true,
+		func(ctx context.Context, d descent.Options) (*descent.StackResult[*fleet.Evaluation], error) {
+			o, err := fm.NewDescent(d)
+			if err != nil {
+				return nil, err
+			}
+			return o.RunContext(ctx)
+		})
+	if best == nil {
+		return nil, err
+	}
+	plan, perr := fleetPlanFromResult(eng, responsibility, fm.Unstack(best.P), best)
+	if perr != nil {
+		if err == nil {
+			err = perr
+		}
+		return nil, err
+	}
+	return plan, err
 }
 
-// fleetPlanFromResult converts an internal fleet result into the public
-// Plan. Single-sensor-shaped fields describe sensor 0 (so legacy
-// consumers — the executor, the simulators, plan persistence — keep
-// working on the lead sensor) while the metrics carry the joint values.
-func fleetPlanFromResult(eng *core.Planner, sensors int, responsibility [][]float64, res *fleet.Result) (*Plan, error) {
-	k := len(res.Ps)
-	n := res.Ps[0].Rows()
+// fleetPlanFromResult converts the sensors' matrices ps and the fleet
+// result they came from into the public Plan (res.P is not read).
+// Single-sensor-shaped fields describe sensor 0 (so legacy consumers —
+// the executor, the simulators, plan persistence — keep working on the
+// lead sensor) while the metrics carry the joint values.
+func fleetPlanFromResult(eng *core.Planner, responsibility [][]float64, ps []*mat.Matrix, res *descent.StackResult[*fleet.Evaluation]) (*Plan, error) {
+	k := len(ps)
+	n := ps[0].Rows()
 	fp := &FleetPlan{
 		Sensors:            k,
 		TransitionMatrices: make([][][]float64, k),
@@ -257,7 +162,7 @@ func fleetPlanFromResult(eng *core.Planner, sensors int, responsibility [][]floa
 	for s := 0; s < k; s++ {
 		rows := make([][]float64, n)
 		for i := 0; i < n; i++ {
-			rows[i] = res.Ps[s].Row(i)
+			rows[i] = ps[s].Row(i)
 		}
 		fp.TransitionMatrices[s] = rows
 	}
@@ -265,13 +170,13 @@ func fleetPlanFromResult(eng *core.Planner, sensors int, responsibility [][]floa
 	// Per-sensor evaluations supply the lead sensor's stationary
 	// distribution and the fleet's mean energy/entropy; the joint
 	// evaluation supplies everything else.
-	leadEv, err := eng.Evaluate(res.Ps[0])
+	leadEv, err := eng.Evaluate(ps[0])
 	if err != nil {
 		return nil, fmt.Errorf("coverage: fleet plan: %w", err)
 	}
 	energy, entropy := leadEv.Energy, leadEv.Entropy
 	for s := 1; s < k; s++ {
-		ev, err := eng.Evaluate(res.Ps[s])
+		ev, err := eng.Evaluate(ps[s])
 		if err != nil {
 			return nil, fmt.Errorf("coverage: fleet plan sensor %d: %w", s, err)
 		}
@@ -334,6 +239,5 @@ func EvaluateFleetMatrices(scn Scenario, obj Objectives, ps [][][]float64, respo
 	if err != nil {
 		return nil, fmt.Errorf("coverage: %w", err)
 	}
-	res := &fleet.Result{Ps: stack, Eval: ev}
-	return fleetPlanFromResult(eng, len(ps), responsibility, res)
+	return fleetPlanFromResult(eng, responsibility, stack, &descent.StackResult[*fleet.Evaluation]{Eval: ev})
 }

@@ -260,12 +260,26 @@ func planner(scn Scenario, obj Objectives) (*core.Planner, error) {
 }
 
 // descentOptions lowers the public Options to the internal form,
-// including the restart-tagged progress callback.
-func (o Options) descentOptions(restart int) (descent.Options, error) {
+// including the restart-tagged progress callback. A fleet search starts
+// from the InitialMatrices stacked into one (K·M)×M matrix, and is always
+// the perturbed variant — the stacked landscape has at least as many
+// local optima as the single-sensor one — so Basic/Adaptive selections
+// are rejected rather than silently reinterpreted.
+func (o Options) descentOptions(restart int, fleet bool) (descent.Options, error) {
+	rows := o.InitialMatrix
+	if fleet {
+		if o.Algorithm != PerturbedDescent {
+			return descent.Options{}, fmt.Errorf("%w: fleet optimization supports only the perturbed variant", ErrObjectives)
+		}
+		rows = nil
+		for _, m := range o.InitialMatrices {
+			rows = append(rows, m...)
+		}
+	}
 	var initial *mat.Matrix
-	if o.InitialMatrix != nil {
+	if rows != nil {
 		var err error
-		initial, err = mat.NewFromRows(o.InitialMatrix)
+		initial, err = mat.NewFromRows(rows)
 		if err != nil {
 			return descent.Options{}, fmt.Errorf("coverage: initial matrix: %w", err)
 		}
@@ -369,18 +383,11 @@ func OptimizeContext(ctx context.Context, scn Scenario, obj Objectives, opts Opt
 	if err := opts.validateInitial(len(scn.PoIs)); err != nil {
 		return nil, err
 	}
-	dopts, err := opts.descentOptions(0)
-	if err != nil {
+	best, err := runRestarts(ctx, opts, []uint64{opts.Seed}, false, eng.OptimizeContext)
+	if best == nil {
 		return nil, err
 	}
-	res, err := eng.OptimizeContext(ctx, dopts)
-	if err != nil {
-		if res != nil {
-			return planFromResult(res), fmt.Errorf("coverage: %w", err)
-		}
-		return nil, fmt.Errorf("coverage: %w", err)
-	}
-	return planFromResult(res), nil
+	return planFromResult(best), err
 }
 
 // planFromResult converts an internal descent result to the public Plan.
@@ -456,30 +463,43 @@ func OptimizeBestContext(ctx context.Context, scn Scenario, obj Objectives, opts
 	if err := opts.validateInitial(len(scn.PoIs)); err != nil {
 		return nil, err
 	}
-	seeds := SplitSeeds(opts.Seed, restarts)
-	var best *descent.Result
-	for r := 0; r < restarts; r++ {
+	best, err := runRestarts(ctx, opts, SplitSeeds(opts.Seed, restarts), false, eng.OptimizeContext)
+	if best == nil {
+		return nil, err
+	}
+	return planFromResult(best), err
+}
+
+// runRestarts runs one descent per seed — restart r with seeds[r] and
+// restart-tagged telemetry — and returns the lowest-cost result. When the
+// context is cancelled it returns the best result so far (nil when
+// nothing completed) with an error wrapping ctx.Err(); any other failure
+// returns a nil result.
+func runRestarts[E descent.Evaluation[E]](ctx context.Context, opts Options, seeds []uint64, fleet bool,
+	run func(context.Context, descent.Options) (*descent.StackResult[E], error)) (*descent.StackResult[E], error) {
+	var best *descent.StackResult[E]
+	var bestU float64
+	for r, seed := range seeds {
 		runOpts := opts
-		runOpts.Seed = seeds[r]
-		dopts, err := runOpts.descentOptions(r)
+		runOpts.Seed = seed
+		dopts, err := runOpts.descentOptions(r, fleet)
 		if err != nil {
 			return nil, err
 		}
-		res, err := eng.OptimizeContext(ctx, dopts)
-		if res != nil && (best == nil || res.Eval.U < best.Eval.U) {
-			best = res
+		res, err := run(ctx, dopts)
+		if res != nil {
+			if u, _, _, _ := res.Eval.Metrics(); best == nil || u < bestU {
+				best, bestU = res, u
+			}
 		}
 		if err != nil {
 			if ctx.Err() != nil {
-				if best == nil {
-					return nil, fmt.Errorf("coverage: %w", err)
-				}
-				return planFromResult(best), fmt.Errorf("coverage: %w", err)
+				return best, fmt.Errorf("coverage: %w", err)
 			}
 			return nil, fmt.Errorf("coverage: %w", err)
 		}
 	}
-	return planFromResult(best), nil
+	return best, nil
 }
 
 // EvaluateMatrix computes the plan metrics for a user-supplied transition

@@ -201,6 +201,12 @@ func (m *Model) GradientWeightedSolvedIn(ws *Workspace, ev *Evaluation, coverCoe
 	return m.gradientIntoWith(ws, ev, coverCoef, coverPhi, beta)
 }
 
+// Metrics returns U, Objective, DeltaC and EBar, the scalars a descent
+// trace records.
+func (ev *Evaluation) Metrics() (u, objective, deltaC, eBar float64) {
+	return ev.U, ev.Objective, ev.DeltaC, ev.EBar
+}
+
 // Clone returns a deep copy of the Evaluation, detached from any
 // workspace buffers backing it.
 func (ev *Evaluation) Clone() *Evaluation {

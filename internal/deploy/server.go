@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // Handler returns the runtime's HTTP/JSON API:
@@ -44,6 +46,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
+	case obs.TooLarge(err):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrSpec):
@@ -58,8 +62,8 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (rt *Runtime) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrSpec, err))
+	if err := obs.DecodeJSON(w, r, &spec); err != nil {
+		writeError(w, fmt.Errorf("%w: %w", ErrSpec, err))
 		return
 	}
 	view, err := rt.Create(spec)
@@ -97,8 +101,8 @@ func (rt *Runtime) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Steps int `json:"steps"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrSpec, err))
+	if err := obs.DecodeJSON(w, r, &req); err != nil {
+		writeError(w, fmt.Errorf("%w: %w", ErrSpec, err))
 		return
 	}
 	if req.Steps == 0 {
@@ -116,8 +120,8 @@ func (rt *Runtime) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		PoIs []int `json:"pois"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrSpec, err))
+	if err := obs.DecodeJSON(w, r, &req); err != nil {
+		writeError(w, fmt.Errorf("%w: %w", ErrSpec, err))
 		return
 	}
 	view, err := rt.Observe(r.PathValue("id"), req.PoIs)

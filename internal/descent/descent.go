@@ -16,6 +16,15 @@
 // [D_P U] (Eq. 10), so iterates keep exact unit row sums; a configurable
 // probability floor keeps them strictly inside the polytope, matching the
 // role of the paper's barrier penalty.
+//
+// One Engine runs all three variants for K ≥ 1 sensors. It iterates over
+// a stack of K M×M transition matrices held as one (K·M)×M matrix and
+// takes its cost from an Objective; the paper's single sensor is K = 1
+// with *cost.Model as the objective (Optimizer), and package fleet
+// supplies the joint K-sensor objective. Every step of the loop — the
+// noise scale (the stack's max-norm), the RNG draws (row-major over the
+// stack), the feasibility bound, and the row clamp — is row- or
+// entry-wise, so at K = 1 it is exactly the single-sensor algorithm.
 package descent
 
 import (
@@ -104,7 +113,7 @@ type Options struct {
 	// FixedStep is the Δt used by the Basic variant.
 	FixedStep float64
 	// InitialP overrides the variant's initialization when non-nil; it
-	// must be ergodic and row-stochastic.
+	// must be ergodic and row-stochastic, and shaped like the stack.
 	InitialP *mat.Matrix
 	// Seed drives random initialization (V2) and perturbations (V4).
 	Seed uint64
@@ -139,8 +148,9 @@ type Options struct {
 	// RecordTrace captures one IterRecord per iteration in the result.
 	RecordTrace bool
 	// OnIteration, when non-nil, is invoked after every iteration with the
-	// current record and accepted matrix; experiment harnesses use it to
-	// drive side-by-side simulations (Figs. 6–8).
+	// current record and accepted matrix (the whole (K·M)×M stack); the
+	// experiment harnesses use it to drive side-by-side simulations
+	// (Figs. 6–8).
 	OnIteration func(rec IterRecord, p *mat.Matrix)
 }
 
@@ -225,12 +235,12 @@ type IterRecord struct {
 	Probes int
 }
 
-// Result is the outcome of an optimization run.
-type Result struct {
-	// P is the best transition matrix found.
+// StackResult is the outcome of an optimization run over a K-stack.
+type StackResult[E any] struct {
+	// P is the best transition matrix stack found.
 	P *mat.Matrix
 	// Eval is the cost breakdown at P.
-	Eval *cost.Evaluation
+	Eval E
 	// Iters is the number of iterations executed.
 	Iters int
 	// Converged reports whether the run stopped before MaxIters (zero
@@ -248,18 +258,56 @@ type Result struct {
 	Trace []IterRecord
 }
 
-// Optimizer runs steepest descent for one cost model.
+// Result is the outcome of a single-sensor optimization run.
+type Result = StackResult[*cost.Evaluation]
+
+// Evaluation is what the engine reads from an objective's evaluation.
+type Evaluation[E any] interface {
+	// Clone returns a copy detached from any workspace.
+	Clone() E
+	// Metrics returns the penalized cost U, the unpenalized objective and
+	// the paper's ΔC and Ē metrics.
+	Metrics() (u, objective, deltaC, eBar float64)
+}
+
+// Workspace is an objective's per-worker scratch.
+type Workspace interface {
+	// SetSolver selects the markov backend of the workspace's solves.
+	SetSolver(markov.Method)
+	// SetPool lends the engine's pool to the workspace's gradient
+	// assembly; results must not depend on it.
+	SetPool(*par.Pool)
+}
+
+// Objective is the cost an Engine descends over a (K·M)×M stack. All
+// methods except NewWorkspace must be safe for concurrent use on distinct
+// workspaces, and every result must be a pure function of the stack.
+type Objective[E Evaluation[E], W Workspace] interface {
+	// NewWorkspace returns fresh per-worker scratch.
+	NewWorkspace() W
+	// EvaluateIn returns the full breakdown at p, valid until ws's next use.
+	EvaluateIn(ws W, p *mat.Matrix) (E, error)
+	// ProbeIn returns exactly EvaluateIn(ws, p)'s U and error.
+	ProbeIn(ws W, p *mat.Matrix) (float64, error)
+	// GradientSolvedIn returns the unprojected gradient at the point of
+	// ev, which must be ws's most recent EvaluateIn result.
+	GradientSolvedIn(ws W, ev E) (*mat.Matrix, error)
+}
+
+// Engine runs steepest descent for one objective over a stack of K M×M
+// transition matrices.
 //
-// Every Optimizer owns a private evaluation workspace and direction/
+// Every Engine owns a private evaluation workspace and direction/
 // candidate buffers, so its hot loop allocates nothing in steady state
-// and concurrent optimizers (RunManyParallel workers) never share mutable
-// state — only the immutable Model.
-type Optimizer struct {
-	model *cost.Model
+// and concurrent engines (RunManyParallel workers) never share mutable
+// state — only the immutable objective.
+type Engine[O Objective[E, W], E Evaluation[E], W Workspace] struct {
+	model O
 	opts  Options
 	src   *rng.Source
+	m     int // PoIs: the stack is (K·m)×m
 
-	ws    *cost.Workspace
+	ws    W
 	dir   *mat.Matrix // projected (negated) descent direction
 	noisy *mat.Matrix // V4 perturbed gradient
 	cand  *mat.Matrix // line-search / acceptance candidate iterate
@@ -269,43 +317,56 @@ type Optimizer struct {
 	// batches share nothing mutable; probeDelta/probeU are the batched
 	// line search's step grid and results.
 	pool       *par.Pool
-	probeWS    []*cost.Workspace
+	probeWS    []W
 	probeCand  []*mat.Matrix
 	probeDelta []float64
 	probeU     []float64
-	ptask      probeTask
+	ptask      probeTask[O, E, W]
 
 	// probes counts φ evaluations of the current iteration's line search;
 	// reset on lineSearch entry, reported via IterRecord.Probes.
 	probes int
 }
 
-// New validates the options and builds an Optimizer.
+// Optimizer is the paper's single-sensor engine: K = 1 over cost.Model.
+type Optimizer = Engine[*cost.Model, *cost.Evaluation, *cost.Workspace]
+
+// New validates the options and builds a single-sensor Optimizer.
 func New(model *cost.Model, opts Options) (*Optimizer, error) {
+	return NewStack(model, 1, model.Topology().M(), opts)
+}
+
+// NewStack validates the options and builds an Engine over a stack of
+// `sensors` m×m matrices.
+func NewStack[O Objective[E, W], E Evaluation[E], W Workspace](model O, sensors, m int, opts Options) (*Engine[O, E, W], error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	rows := sensors * m
+	if p := opts.InitialP; p != nil && (p.Rows() != rows || p.Cols() != m) {
+		return nil, fmt.Errorf("%w: InitialP is %dx%d, want %dx%d", ErrOptions, p.Rows(), p.Cols(), rows, m)
+	}
 	opts = opts.withDefaults()
-	n := model.Topology().M()
-	o := &Optimizer{
+	o := &Engine[O, E, W]{
 		model: model,
 		opts:  opts,
 		src:   rng.New(opts.Seed),
+		m:     m,
 		ws:    model.NewWorkspace(),
-		dir:   mat.New(n, n),
-		noisy: mat.New(n, n),
-		cand:  mat.New(n, n),
+		dir:   mat.New(rows, m),
+		noisy: mat.New(rows, m),
+		cand:  mat.New(rows, m),
 	}
 	o.ws.SetSolver(opts.Solver)
 	if w := opts.Workers; w > 1 {
 		o.pool = par.New(w)
 		o.ws.SetPool(o.pool)
-		o.probeWS = make([]*cost.Workspace, w)
+		o.probeWS = make([]W, w)
 		o.probeCand = make([]*mat.Matrix, w)
 		for i := 0; i < w; i++ {
 			o.probeWS[i] = model.NewWorkspace()
 			o.probeWS[i].SetSolver(opts.Solver)
-			o.probeCand[i] = mat.New(n, n)
+			o.probeCand[i] = mat.New(rows, m)
 		}
 		o.probeDelta = make([]float64, 0, lsMaxProbes)
 		o.probeU = make([]float64, lsMaxProbes)
@@ -316,23 +377,21 @@ func New(model *cost.Model, opts Options) (*Optimizer, error) {
 
 // UniformInit returns the V1 initialization p_ij = 1/M.
 func UniformInit(m int) *mat.Matrix {
-	p := mat.New(m, m)
-	v := 1 / float64(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			p.Set(i, j, v)
-		}
-	}
-	return p
+	return mat.Scale(1/float64(m), mat.Ones(m, m))
 }
 
 // RandomInit returns the V2 initialization: each row is drawn with the
 // paper's rand·rem/M scheme and then floored at minProb (renormalizing) so
 // the chain is ergodic and every entry is strictly inside the polytope.
 func RandomInit(src *rng.Source, m int, minProb float64) *mat.Matrix {
-	p := mat.New(m, m)
+	return randomStack(src, m, m, minProb)
+}
+
+// randomStack is RandomInit for a rows×m stack: rows drawn in order.
+func randomStack(src *rng.Source, rows, m int, minProb float64) *mat.Matrix {
+	p := mat.New(rows, m)
 	row := make([]float64, m)
-	for i := 0; i < m; i++ {
+	for i := 0; i < rows; i++ {
 		src.StochasticRow(row)
 		clampRow(row, minProb)
 		p.SetRow(i, row)
@@ -358,8 +417,8 @@ func clampRow(row []float64, floor float64) {
 	}
 }
 
-// initialMatrix picks the starting point per the variant.
-func (o *Optimizer) initialMatrix() *mat.Matrix {
+// initialMatrix picks the starting stack per the variant.
+func (o *Engine[O, E, W]) initialMatrix() *mat.Matrix {
 	if o.opts.InitialP != nil {
 		p := o.opts.InitialP.Clone()
 		for i := 0; i < p.Rows(); i++ {
@@ -369,16 +428,16 @@ func (o *Optimizer) initialMatrix() *mat.Matrix {
 		}
 		return p
 	}
-	m := o.model.Topology().M()
+	rows := o.cand.Rows()
 	if o.opts.Variant == Basic {
-		return UniformInit(m)
+		return mat.Scale(1/float64(o.m), mat.Ones(rows, o.m))
 	}
-	return RandomInit(o.src, m, o.opts.MinProb)
+	return randomStack(o.src, rows, o.m, o.opts.MinProb)
 }
 
 // Run executes the configured optimization and returns the best solution
 // found.
-func (o *Optimizer) Run() (*Result, error) {
+func (o *Engine[O, E, W]) Run() (*StackResult[E], error) {
 	return o.RunContext(context.Background())
 }
 
@@ -389,7 +448,7 @@ func (o *Optimizer) Run() (*Result, error) {
 // promptly and returns the best-so-far Result together with an error
 // wrapping ctx.Err(); a context already cancelled on entry yields a nil
 // Result.
-func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
+func (o *Engine[O, E, W]) RunContext(ctx context.Context) (*StackResult[E], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr(err, 0)
 	}
@@ -415,7 +474,7 @@ func cancelErr(err error, iters int) error {
 }
 
 // record appends a trace record and fires the iteration callback.
-func (o *Optimizer) record(res *Result, rec IterRecord, p *mat.Matrix) {
+func (o *Engine[O, E, W]) record(res *StackResult[E], rec IterRecord, p *mat.Matrix) {
 	if o.opts.RecordTrace {
 		res.Trace = append(res.Trace, rec)
 	}
@@ -425,14 +484,14 @@ func (o *Optimizer) record(res *Result, rec IterRecord, p *mat.Matrix) {
 }
 
 // runBasic is variant V1: a fixed-step projected gradient loop.
-func (o *Optimizer) runBasic(ctx context.Context) (*Result, error) {
+func (o *Engine[O, E, W]) runBasic(ctx context.Context) (*StackResult[E], error) {
 	p := o.initialMatrix()
 	ev, err := o.model.EvaluateIn(o.ws, p)
 	if err != nil {
 		return nil, fmt.Errorf("descent: evaluate initial point: %w", err)
 	}
-	res := &Result{P: p.Clone(), Eval: ev.Clone()}
-	best := ev.U
+	res := &StackResult[E]{P: p.Clone(), Eval: ev.Clone()}
+	best, _, _, _ := ev.Metrics()
 	stall := 0
 	for iter := 1; iter <= o.opts.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -463,19 +522,20 @@ func (o *Optimizer) runBasic(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 		}
+		u, obj, dc, eb := ev.Metrics()
 		res.Iters = iter
 		res.Accepted++
 		o.record(res, IterRecord{
-			Iter: iter, U: ev.U, Objective: ev.Objective,
-			DeltaC: ev.DeltaC, EBar: ev.EBar, Step: step, Accepted: true,
+			Iter: iter, U: u, Objective: obj,
+			DeltaC: dc, EBar: eb, Step: step, Accepted: true,
 		}, p)
-		if ev.U < best {
-			if best-ev.U < o.opts.Tolerance*math.Max(1, math.Abs(best)) {
+		if u < best {
+			if best-u < o.opts.Tolerance*math.Max(1, math.Abs(best)) {
 				stall++
 			} else {
 				stall = 0
 			}
-			best = ev.U
+			best = u
 			res.P = p.Clone()
 			res.Eval = ev.Clone()
 		} else {
@@ -491,17 +551,18 @@ func (o *Optimizer) runBasic(ctx context.Context) (*Result, error) {
 
 // runAdaptive is V2+V3: line-searched descent that stops at the first
 // local optimum.
-func (o *Optimizer) runAdaptive(ctx context.Context) (*Result, error) {
+func (o *Engine[O, E, W]) runAdaptive(ctx context.Context) (*StackResult[E], error) {
 	p := o.initialMatrix()
 	ev, err := o.model.EvaluateIn(o.ws, p)
 	if err != nil {
 		return nil, fmt.Errorf("descent: evaluate initial point: %w", err)
 	}
-	res := &Result{P: p.Clone(), Eval: ev.Clone()}
+	res := &StackResult[E]{P: p.Clone(), Eval: ev.Clone()}
 	// Scalar snapshot of the current iterate's evaluation: the workspace's
 	// Evaluation is overwritten by every line-search probe, so anything
 	// needed across a lineSearch call must be copied out first.
-	curU, curObj, curDC, curEB := ev.U, ev.Objective, ev.DeltaC, ev.EBar
+	curU, curObj, curDC, curEB := ev.Metrics()
+	bestU := curU
 	stall := 0
 	for iter := 1; iter <= o.opts.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -540,20 +601,21 @@ func (o *Optimizer) runAdaptive(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 		}
-		curU, curObj, curDC, curEB = ev.U, ev.Objective, ev.DeltaC, ev.EBar
+		curU, curObj, curDC, curEB = ev.Metrics()
 		res.Accepted++
 		o.record(res, IterRecord{
-			Iter: iter, U: ev.U, Objective: ev.Objective,
-			DeltaC: ev.DeltaC, EBar: ev.EBar, Step: step, Accepted: true,
+			Iter: iter, U: curU, Objective: curObj,
+			DeltaC: curDC, EBar: curEB, Step: step, Accepted: true,
 			Probes: o.probes,
 		}, p)
-		if ev.U < res.Eval.U {
+		if curU < bestU {
+			bestU = curU
 			res.P = p.Clone()
 			res.Eval = ev.Clone()
 		}
 		// "Within some tolerance level" (§V): many consecutive iterations
 		// of negligible relative improvement is a practical Δt* ≈ 0.
-		if prevU-ev.U < o.opts.Tolerance*math.Max(1, math.Abs(prevU)) {
+		if prevU-curU < o.opts.Tolerance*math.Max(1, math.Abs(prevU)) {
 			stall++
 		} else {
 			stall = 0
@@ -568,17 +630,17 @@ func (o *Optimizer) runAdaptive(ctx context.Context) (*Result, error) {
 }
 
 // runPerturbed is V2+V3+V4: noisy descent with annealed acceptance.
-func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
+func (o *Engine[O, E, W]) runPerturbed(ctx context.Context) (*StackResult[E], error) {
 	p := o.initialMatrix()
 	ev, err := o.model.EvaluateIn(o.ws, p)
 	if err != nil {
 		return nil, fmt.Errorf("descent: evaluate initial point: %w", err)
 	}
-	res := &Result{P: p.Clone(), Eval: ev.Clone()}
-	bestU := ev.U
+	res := &StackResult[E]{P: p.Clone(), Eval: ev.Clone()}
 	// Scalar snapshot of the last accepted evaluation (the workspace's
 	// Evaluation is reused by every probe and candidate evaluation).
-	curU, curObj, curDC, curEB := ev.U, ev.Objective, ev.DeltaC, ev.EBar
+	curU, curObj, curDC, curEB := ev.Metrics()
+	bestU := curU
 	stall := 0
 	// evAtP tracks whether the workspace's evaluation (and its Markov
 	// solution) is current for p: true after the initial evaluate and after
@@ -592,18 +654,18 @@ func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return res, cancelErr(err, res.Iters)
 		}
-		var grad *mat.Matrix
-		var err error
-		if evAtP {
-			grad, err = o.model.GradientSolvedIn(o.ws, ev)
-		} else {
-			ev, grad, err = o.model.GradientIn(o.ws, p)
+		if !evAtP {
+			if ev, err = o.model.EvaluateIn(o.ws, p); err != nil {
+				return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
+			}
 		}
+		grad, err := o.model.GradientSolvedIn(o.ws, ev)
 		if err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 		}
 		// V4: perturb [D_P U] with mean-zero Gaussian noise scaled to the
-		// gradient's own magnitude, then project.
+		// gradient's own magnitude (the max over the whole stack), then
+		// project. The draws run row-major over the stack.
 		scale := mat.MaxAbs(grad)
 		if scale == 0 {
 			scale = 1
@@ -648,9 +710,10 @@ func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("descent: iteration %d: %w", iter, err)
 		}
+		candU, candObj, candDC, candEB := candEv.Metrics()
 
 		accepted := false
-		if candEv.U < curU {
+		if candU < curU {
 			accepted = true
 		} else {
 			// Annealed acceptance with Hajek logarithmic cooling
@@ -661,7 +724,7 @@ func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
 			if norm == 0 {
 				norm = 1
 			}
-			delta := (candEv.U - curU) / norm
+			delta := (candU - curU) / norm
 			temp := o.opts.AnnealK / math.Log(float64(iter)+1)
 			if temp > 0 && o.src.Float64() < math.Exp(-delta/temp) {
 				accepted = true
@@ -678,7 +741,7 @@ func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
 			p, o.cand = o.cand, p
 			ev = candEv
 			evAtP = true
-			curU, curObj, curDC, curEB = candEv.U, candEv.Objective, candEv.DeltaC, candEv.EBar
+			curU, curObj, curDC, curEB = candU, candObj, candDC, candEB
 		} else {
 			res.Rejected++
 		}
@@ -688,13 +751,13 @@ func (o *Optimizer) runPerturbed(ctx context.Context) (*Result, error) {
 			Probes: o.probes,
 		}, p)
 
-		if candEv.U < bestU-o.opts.Tolerance*math.Max(1, math.Abs(bestU)) {
+		if candU < bestU-o.opts.Tolerance*math.Max(1, math.Abs(bestU)) {
 			stall = 0
 		} else {
 			stall++
 		}
-		if candEv.U < bestU {
-			bestU = candEv.U
+		if candU < bestU {
+			bestU = candU
 			res.P = cand.Clone()
 			res.Eval = candEv.Clone()
 		}
@@ -743,7 +806,7 @@ func maxFeasibleStep(p, dir *mat.Matrix, floor float64) float64 {
 // paper's conservative trisection inside that bracket. It returns the
 // chosen step, the cost at that step, and false when no positive step
 // improves on curU (the paper's Δt* = 0 case).
-func (o *Optimizer) lineSearch(p, dir *mat.Matrix, curU float64) (float64, float64, bool) {
+func (o *Engine[O, E, W]) lineSearch(p, dir *mat.Matrix, curU float64) (float64, float64, bool) {
 	o.probes = 0
 	bound := maxFeasibleStep(p, dir, o.opts.MinProb)
 	if bound <= 0 {
@@ -826,7 +889,7 @@ const (
 // worse-streak cutoff, which just discards any probes past the serial
 // break), so the chosen step, cost, and ok flag are bit-for-bit the
 // serial ones.
-func (o *Optimizer) lineSearchBatched(p, dir *mat.Matrix, curU, bound, target float64) (float64, float64, bool) {
+func (o *Engine[O, E, W]) lineSearchBatched(p, dir *mat.Matrix, curU, bound, target float64) (float64, float64, bool) {
 	deltas := o.probeDelta[:0]
 	for k, delta := 0, bound; k < lsMaxProbes && delta > 1e-18*bound; k, delta = k+1, delta/lsShrink {
 		deltas = append(deltas, delta)
@@ -883,16 +946,16 @@ scan:
 }
 
 // probeTask evaluates a batch of line-search probes; probe k of the batch
-// lands in probeU[base+k]. It lives inside the Optimizer so dispatching it
+// lands in probeU[base+k]. It lives inside the Engine so dispatching it
 // does not allocate.
-type probeTask struct {
-	o      *Optimizer
+type probeTask[O Objective[E, W], E Evaluation[E], W Workspace] struct {
+	o      *Engine[O, E, W]
 	p, dir *mat.Matrix
 	ds     []float64
 	base   int
 }
 
-func (t *probeTask) Run(w, lo, hi int) {
+func (t *probeTask[O, E, W]) Run(w, lo, hi int) {
 	o := t.o
 	for k := lo; k < hi; k++ {
 		o.probeU[t.base+k] = o.phiEvalIn(o.probeWS[w], o.probeCand[w], t.p, t.dir, t.ds[k])
@@ -901,7 +964,7 @@ func (t *probeTask) Run(w, lo, hi int) {
 
 // evalProbes computes φ(δ) for every δ in ds across the pool, writing
 // results to probeU[base:base+len(ds)].
-func (o *Optimizer) evalProbes(p, dir *mat.Matrix, ds []float64, base int) {
+func (o *Engine[O, E, W]) evalProbes(p, dir *mat.Matrix, ds []float64, base int) {
 	o.probes += len(ds)
 	o.ptask.p, o.ptask.dir, o.ptask.ds, o.ptask.base = p, dir, ds, base
 	o.pool.Run(len(ds), &o.ptask)
@@ -910,14 +973,14 @@ func (o *Optimizer) evalProbes(p, dir *mat.Matrix, ds []float64, base int) {
 // phiEval computes φ(δ) = U(P + δ·dir) into the optimizer's candidate
 // buffer and workspace, allocating nothing. Infeasible or non-ergodic
 // probes evaluate to +Inf.
-func (o *Optimizer) phiEval(p, dir *mat.Matrix, delta float64) float64 {
+func (o *Engine[O, E, W]) phiEval(p, dir *mat.Matrix, delta float64) float64 {
 	o.probes++
 	return o.phiEvalIn(o.ws, o.cand, p, dir, delta)
 }
 
 // phiEvalIn is phiEval against an explicit workspace and candidate buffer,
 // so batched probes can run in worker-private storage.
-func (o *Optimizer) phiEvalIn(ws *cost.Workspace, cand, p, dir *mat.Matrix, delta float64) float64 {
+func (o *Engine[O, E, W]) phiEvalIn(ws W, cand, p, dir *mat.Matrix, delta float64) float64 {
 	if err := cand.CopyFrom(p); err != nil {
 		return math.Inf(1)
 	}

@@ -272,15 +272,37 @@ func nearTie(fm *Model, ps []*mat.Matrix, relTol float64) bool {
 	return false
 }
 
+// newDescent builds the perturbed descent engine over a fleet model with
+// the uniform responsibility.
+func newDescent(cm *cost.Model, sensors int, opts descent.Options) (*Model, *descent.Engine[*Model, *Evaluation, *Workspace], error) {
+	fm, err := NewModel(cm, sensors, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.Variant = descent.Perturbed
+	o, err := fm.NewDescent(opts)
+	return fm, o, err
+}
+
+// optimize runs one seeded stacked perturbed descent.
+func optimize(cm *cost.Model, sensors int, opts descent.Options) (*Model, *descent.StackResult[*Evaluation], error) {
+	fm, o, err := newDescent(cm, sensors, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := o.Run()
+	return fm, res, err
+}
+
 // optimizeTwice runs the same configuration twice and returns both
 // results.
-func optimizeTwice(t *testing.T, cm *cost.Model, opts Options) (*Result, *Result) {
+func optimizeTwice(t *testing.T, cm *cost.Model, sensors int, opts descent.Options) (*descent.StackResult[*Evaluation], *descent.StackResult[*Evaluation]) {
 	t.Helper()
-	a, err := Optimize(cm, opts)
+	_, a, err := optimize(cm, sensors, opts)
 	if err != nil {
 		t.Fatalf("Optimize #1: %v", err)
 	}
-	b, err := Optimize(cm, opts)
+	_, b, err := optimize(cm, sensors, opts)
 	if err != nil {
 		t.Fatalf("Optimize #2: %v", err)
 	}
@@ -294,42 +316,47 @@ func sameTrace(t *testing.T, a, b []descent.IterRecord, label string) {
 	}
 	for i := range a {
 		ra, rb := a[i], b[i]
-		// Probes is scheduling-independent here (the fleet search probes
-		// serially), so the full record must match.
 		if ra != rb {
 			t.Fatalf("%s: trace[%d] differs:\n  %+v\n  %+v", label, i, ra, rb)
 		}
 	}
 }
 
-func sameStack(t *testing.T, a, b []*mat.Matrix, label string) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: stack sizes %d vs %d", label, len(a), len(b))
+// withoutProbes returns a copy of the trace with every Probes count
+// zeroed: under batched probes the count depends on the worker count.
+func withoutProbes(trace []descent.IterRecord) []descent.IterRecord {
+	out := append([]descent.IterRecord(nil), trace...)
+	for i := range out {
+		out[i].Probes = 0
 	}
-	for s := range a {
-		da, db := a[s].Data(), b[s].Data()
-		for i := range da {
-			if da[i] != db[i] {
-				t.Fatalf("%s: sensor %d entry %d: %v vs %v", label, s, i, da[i], db[i])
-			}
+	return out
+}
+
+func sameStack(t *testing.T, a, b *mat.Matrix, label string) {
+	t.Helper()
+	da, db := a.Data(), b.Data()
+	if len(da) != len(db) {
+		t.Fatalf("%s: stack sizes %d vs %d", label, len(da), len(db))
+	}
+	for i := range da {
+		if da[i] != db[i] {
+			t.Fatalf("%s: entry %d: %v vs %v", label, i, da[i], db[i])
 		}
 	}
 }
 
 func TestOptimizeDeterministic(t *testing.T) {
 	cm := newCostModel(t, topology.Topology3())
-	opts := Options{
-		Sensors:     2,
+	opts := descent.Options{
 		Seed:        42,
 		MaxIters:    30,
 		StallIters:  1000,
 		RecordTrace: true,
 		Workers:     1,
 	}
-	a, b := optimizeTwice(t, cm, opts)
+	a, b := optimizeTwice(t, cm, 2, opts)
 	sameTrace(t, a.Trace, b.Trace, "repeat run")
-	sameStack(t, a.Ps, b.Ps, "repeat run")
+	sameStack(t, a.P, b.P, "repeat run")
 	if a.Eval.U != b.Eval.U {
 		t.Fatalf("best U %v vs %v", a.Eval.U, b.Eval.U)
 	}
@@ -337,32 +364,32 @@ func TestOptimizeDeterministic(t *testing.T) {
 
 // TestOptimizeWorkersBitIdentical is the fleet golden-trace discipline:
 // the stacked descent must produce bit-identical traces and matrices for
-// every Workers count, because parallelism only redistributes whole
-// sensors across spans.
+// every Workers count, because parallelism only batches line-search
+// probes and row-partitions gradients. Only the probe counts may differ:
+// a batch may evaluate probes past the serial cutoff.
 func TestOptimizeWorkersBitIdentical(t *testing.T) {
 	cm := newCostModel(t, topology.Topology3())
-	base := Options{
-		Sensors:     3,
+	base := descent.Options{
 		Seed:        99,
 		MaxIters:    25,
 		StallIters:  1000,
 		RecordTrace: true,
 		Workers:     1,
 	}
-	ref, err := Optimize(cm, base)
+	_, ref, err := optimize(cm, 3, base)
 	if err != nil {
 		t.Fatalf("Optimize(workers=1): %v", err)
 	}
 	for _, w := range []int{2, 3, 8} {
 		opts := base
 		opts.Workers = w
-		got, err := Optimize(cm, opts)
+		_, got, err := optimize(cm, 3, opts)
 		if err != nil {
 			t.Fatalf("Optimize(workers=%d): %v", w, err)
 		}
 		label := "workers=" + string(rune('0'+w))
-		sameTrace(t, ref.Trace, got.Trace, label)
-		sameStack(t, ref.Ps, got.Ps, label)
+		sameTrace(t, withoutProbes(ref.Trace), withoutProbes(got.Trace), label)
+		sameStack(t, ref.P, got.P, label)
 		if ref.Eval.U != got.Eval.U {
 			t.Fatalf("workers=%d: best U %v vs %v", w, got.Eval.U, ref.Eval.U)
 		}
@@ -371,26 +398,22 @@ func TestOptimizeWorkersBitIdentical(t *testing.T) {
 
 func TestOptimizeImproves(t *testing.T) {
 	cm := newCostModel(t, topology.Topology1())
-	opts := Options{
-		Sensors:    2,
+	const sensors = 2
+	opts := descent.Options{
 		Seed:       5,
 		MaxIters:   120,
 		StallIters: 1000,
 		Workers:    2,
 	}
-	o, err := NewOptimizer(cm, opts)
+	fm, o, err := newDescent(cm, sensors, opts)
 	if err != nil {
 		t.Fatalf("NewOptimizer: %v", err)
 	}
 	// Joint cost at the optimizer's own starting stack.
 	src := rng.New(opts.Seed)
-	init := make([]*mat.Matrix, opts.Sensors)
+	init := make([]*mat.Matrix, sensors)
 	for s := range init {
 		init[s] = descent.RandomInit(src, cm.Topology().M(), descent.DefaultMinProb)
-	}
-	fm, err := NewModel(cm, opts.Sensors, nil)
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
 	}
 	startEv, err := fm.Evaluate(init)
 	if err != nil {
@@ -407,7 +430,7 @@ func TestOptimizeImproves(t *testing.T) {
 		t.Fatal("no iterations executed")
 	}
 	// The winning evaluation must reproduce from the winning stack.
-	re, err := fm.Evaluate(res.Ps)
+	re, err := fm.Evaluate(fm.Unstack(res.P))
 	if err != nil {
 		t.Fatalf("re-evaluate best stack: %v", err)
 	}
@@ -418,13 +441,13 @@ func TestOptimizeImproves(t *testing.T) {
 
 func TestOptimizeWarmStart(t *testing.T) {
 	cm := newCostModel(t, topology.Topology2())
-	first, err := Optimize(cm, Options{Sensors: 2, Seed: 11, MaxIters: 60, StallIters: 1000, Workers: 1})
+	_, first, err := optimize(cm, 2, descent.Options{Seed: 11, MaxIters: 60, StallIters: 1000, Workers: 1})
 	if err != nil {
 		t.Fatalf("cold Optimize: %v", err)
 	}
-	warm, err := Optimize(cm, Options{
-		Sensors: 2, Seed: 12, MaxIters: 30, StallIters: 1000, Workers: 1,
-		InitialPs: first.Ps,
+	_, warm, err := optimize(cm, 2, descent.Options{
+		Seed: 12, MaxIters: 30, StallIters: 1000, Workers: 1,
+		InitialP: first.P,
 	})
 	if err != nil {
 		t.Fatalf("warm Optimize: %v", err)
@@ -440,18 +463,20 @@ func TestOptimizeWarmStart(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	cm := newCostModel(t, topology.Topology2())
+	m := cm.Topology().M()
 	cases := []struct {
-		name string
-		opts Options
+		name    string
+		sensors int
+		opts    descent.Options
 	}{
-		{"zero sensors", Options{}},
-		{"negative iters", Options{Sensors: 2, MaxIters: -1}},
-		{"minprob too large", Options{Sensors: 2, MinProb: 0.6}},
-		{"initial count mismatch", Options{Sensors: 2, InitialPs: make([]*mat.Matrix, 3)}},
+		{"zero sensors", 0, descent.Options{}},
+		{"negative iters", 2, descent.Options{MaxIters: -1}},
+		{"minprob too large", 2, descent.Options{MinProb: 0.6}},
+		{"initial count mismatch", 2, descent.Options{InitialP: mat.New(3*m, m)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewOptimizer(cm, tc.opts); !errors.Is(err, ErrOptions) && !errors.Is(err, ErrModel) {
+			if _, _, err := newDescent(cm, tc.sensors, tc.opts); !errors.Is(err, descent.ErrOptions) && !errors.Is(err, ErrModel) {
 				t.Errorf("err = %v, want ErrOptions/ErrModel", err)
 			}
 		})

@@ -25,8 +25,10 @@
 // Because every term is a composition of single-sensor quantities with
 // per-PoI coefficients, the joint gradient factors into K independent
 // Eq. 10 assemblies with overridden couplings — cost.Model's
-// GradientWeightedSolvedIn — and the stacked descent reuses the
-// single-sensor machinery wholesale, one cost.Workspace per sensor.
+// GradientWeightedSolvedIn. A Model is a descent.Objective over the
+// (K·M)×M stack of the sensors' matrices, with one cost.Workspace per
+// sensor in each Workspace, so the fleet is optimized by the same engine
+// as one sensor.
 package fleet
 
 import (
@@ -35,7 +37,10 @@ import (
 	"math"
 
 	"repro/internal/cost"
+	"repro/internal/descent"
+	"repro/internal/markov"
 	"repro/internal/mat"
+	"repro/internal/par"
 )
 
 // ErrModel indicates an invalid fleet model configuration.
@@ -190,7 +195,13 @@ type Evaluation struct {
 	UnionShare []float64
 }
 
-// Clone returns a deep copy detached from any optimizer buffers.
+// Metrics returns U, Objective, DeltaC and EBar, the scalars a descent
+// trace records.
+func (ev *Evaluation) Metrics() (u, objective, deltaC, eBar float64) {
+	return ev.U, ev.Objective, ev.DeltaC, ev.EBar
+}
+
+// Clone returns a deep copy detached from any workspace buffers.
 func (ev *Evaluation) Clone() *Evaluation {
 	out := *ev
 	out.G = append([]float64(nil), ev.G...)
@@ -200,14 +211,75 @@ func (ev *Evaluation) Clone() *Evaluation {
 	return &out
 }
 
-// newEvaluation allocates an Evaluation sized for the model.
-func (fm *Model) newEvaluation() *Evaluation {
-	return &Evaluation{
-		G:           make([]float64, fm.m),
-		MinExposure: make([]float64, fm.m),
-		Owner:       make([]int, fm.m),
-		UnionShare:  make([]float64, fm.m),
+// Workspace is the fleet objective's per-worker scratch: one
+// cost.Workspace per sensor, the sensor blocks of the last evaluated
+// stack, and the joint evaluation and stacked gradient built from them.
+// Like cost.Workspace it is not safe for concurrent use.
+type Workspace struct {
+	ws        []*cost.Workspace
+	evs       []*cost.Evaluation // ws[s]'s current evaluation
+	ps        []*mat.Matrix      // sensor s's block of the evaluated stack
+	ev        Evaluation
+	grad      *mat.Matrix // (K·M)×M stacked gradient
+	coverCoef []float64   // shared c_i = α_i G_i^fleet
+	betaMask  []float64   // β masked to one sensor's owned PoIs
+}
+
+// NewWorkspace returns a Workspace sized for the model.
+func (fm *Model) NewWorkspace() *Workspace {
+	k, m := fm.k, fm.m
+	ws := &Workspace{
+		ws:  make([]*cost.Workspace, k),
+		evs: make([]*cost.Evaluation, k),
+		ps:  make([]*mat.Matrix, k),
+		ev: Evaluation{
+			G:           make([]float64, m),
+			MinExposure: make([]float64, m),
+			Owner:       make([]int, m),
+			UnionShare:  make([]float64, m),
+		},
+		grad:      mat.New(k*m, m),
+		coverCoef: make([]float64, m),
+		betaMask:  make([]float64, m),
 	}
+	for s := 0; s < k; s++ {
+		ws.ws[s] = fm.cm.NewWorkspace()
+		ws.ps[s] = mat.New(m, m)
+	}
+	return ws
+}
+
+// SetSolver selects the markov backend of every sensor's chain solves.
+func (ws *Workspace) SetSolver(method markov.Method) {
+	for _, w := range ws.ws {
+		w.SetSolver(method)
+	}
+}
+
+// SetPool row-partitions each sensor's gradient assembly across the pool;
+// the sensors themselves run in ascending order.
+func (ws *Workspace) SetPool(p *par.Pool) {
+	for _, w := range ws.ws {
+		w.SetPool(p)
+	}
+}
+
+// NewDescent builds the descent engine over the model's K-stack: the
+// options' InitialP, when set, and every matrix the engine reports are
+// (K·M)×M, sensor s in rows s·M to (s+1)·M−1.
+func (fm *Model) NewDescent(opts descent.Options) (*descent.Engine[*Model, *Evaluation, *Workspace], error) {
+	return descent.NewStack(fm, fm.k, fm.m, opts)
+}
+
+// Unstack splits a (K·M)×M stack into K fresh M×M matrices.
+func (fm *Model) Unstack(p *mat.Matrix) []*mat.Matrix {
+	out := make([]*mat.Matrix, fm.k)
+	mm := fm.m * fm.m
+	for s := range out {
+		out[s] = mat.New(fm.m, fm.m)
+		copy(out[s].Data(), p.Data()[s*mm:(s+1)*mm])
+	}
+	return out
 }
 
 // combine folds K single-sensor evaluations into the joint breakdown.
@@ -272,64 +344,93 @@ func (fm *Model) combine(evs []*cost.Evaluation, out *Evaluation) {
 	out.U = out.Objective + out.Penalty
 }
 
+// EvaluateIn computes the joint cost breakdown at the (K·M)×M stack p
+// using the workspace's buffers; the result is valid until ws's next use.
+func (fm *Model) EvaluateIn(ws *Workspace, p *mat.Matrix) (*Evaluation, error) {
+	if p.Rows() != fm.k*fm.m || p.Cols() != fm.m {
+		return nil, fmt.Errorf("%w: %dx%d stack for %d sensors of %d PoIs",
+			ErrModel, p.Rows(), p.Cols(), fm.k, fm.m)
+	}
+	mm := fm.m * fm.m
+	for s, b := range ws.ps {
+		copy(b.Data(), p.Data()[s*mm:(s+1)*mm])
+	}
+	return fm.evaluateBlocks(ws, ws.ps)
+}
+
+// evaluateBlocks evaluates the K sensor matrices ps in ascending order
+// and folds them into ws's joint evaluation.
+func (fm *Model) evaluateBlocks(ws *Workspace, ps []*mat.Matrix) (*Evaluation, error) {
+	for s, p := range ps {
+		ev, err := fm.cm.EvaluateIn(ws.ws[s], p)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: sensor %d: %w", s, err)
+		}
+		ws.evs[s] = ev
+	}
+	fm.combine(ws.evs, &ws.ev)
+	return &ws.ev, nil
+}
+
+// ProbeIn returns the joint cost U at the stack p: EvaluateIn's U.
+func (fm *Model) ProbeIn(ws *Workspace, p *mat.Matrix) (float64, error) {
+	ev, err := fm.EvaluateIn(ws, p)
+	if err != nil {
+		return 0, err
+	}
+	return ev.U, nil
+}
+
+// GradientSolvedIn assembles the unprojected stacked gradient at the
+// point of ev, which must be ws's most recent evaluation: block s is
+// ∂U/∂P^(s), the single-sensor Eq. 10 assembly with the fleet couplings.
+// The result aliases ws.
+func (fm *Model) GradientSolvedIn(ws *Workspace, ev *Evaluation) (*mat.Matrix, error) {
+	for i := 0; i < fm.m; i++ {
+		ws.coverCoef[i] = fm.alpha[i] * ev.G[i]
+	}
+	mm := fm.m * fm.m
+	for s := 0; s < fm.k; s++ {
+		fm.maskBeta(ws.betaMask, ev.Owner, s)
+		g, err := fm.cm.GradientWeightedSolvedIn(ws.ws[s], ws.evs[s], ws.coverCoef, fm.coverPhi(ws.coverCoef, s), ws.betaMask)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: sensor %d gradient: %w", s, err)
+		}
+		copy(ws.grad.Data()[s*mm:(s+1)*mm], g.Data())
+	}
+	return ws.grad, nil
+}
+
 // Evaluate computes the joint cost breakdown at the K-matrix stack ps.
-// Each call allocates fresh workspaces; the optimizer's internal loop
-// reuses one set instead.
+// Each call allocates a fresh workspace; the descent engine reuses one.
 func (fm *Model) Evaluate(ps []*mat.Matrix) (*Evaluation, error) {
 	if len(ps) != fm.k {
 		return nil, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
 	}
-	evs := make([]*cost.Evaluation, fm.k)
-	for s := 0; s < fm.k; s++ {
-		ev, err := fm.cm.EvaluateIn(fm.cm.NewWorkspace(), ps[s])
-		if err != nil {
-			return nil, fmt.Errorf("fleet: sensor %d: %w", s, err)
-		}
-		evs[s] = ev
+	ev, err := fm.evaluateBlocks(fm.NewWorkspace(), ps)
+	if err != nil {
+		return nil, err
 	}
-	out := fm.newEvaluation()
-	fm.combine(evs, out)
-	return out, nil
+	return ev.Clone(), nil
 }
 
 // Gradient evaluates the joint cost at ps and returns the evaluation
 // together with the K unprojected gradient blocks of the stacked
-// objective (block s is ∂U/∂P^(s), assembled by the single-sensor Eq. 10
-// machinery with the fleet couplings). Like Evaluate, each call
-// allocates; the optimizer reuses buffers.
+// objective (block s is ∂U/∂P^(s)). Like Evaluate, each call allocates.
 func (fm *Model) Gradient(ps []*mat.Matrix) (*Evaluation, []*mat.Matrix, error) {
 	if len(ps) != fm.k {
 		return nil, nil, fmt.Errorf("%w: %d matrices for %d sensors", ErrModel, len(ps), fm.k)
 	}
-	wss := make([]*cost.Workspace, fm.k)
-	evs := make([]*cost.Evaluation, fm.k)
-	for s := 0; s < fm.k; s++ {
-		wss[s] = fm.cm.NewWorkspace()
-		ev, err := fm.cm.EvaluateIn(wss[s], ps[s])
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: sensor %d: %w", s, err)
-		}
-		evs[s] = ev
+	ws := fm.NewWorkspace()
+	ev, err := fm.evaluateBlocks(ws, ps)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := fm.newEvaluation()
-	fm.combine(evs, out)
-
-	coverCoef := make([]float64, fm.m)
-	betaMask := make([]float64, fm.m)
-	for i := 0; i < fm.m; i++ {
-		coverCoef[i] = fm.alpha[i] * out.G[i]
+	g, err := fm.GradientSolvedIn(ws, ev)
+	if err != nil {
+		return nil, nil, err
 	}
-	grads := make([]*mat.Matrix, fm.k)
-	for s := 0; s < fm.k; s++ {
-		cphi := fm.coverPhi(coverCoef, s)
-		fm.maskBeta(betaMask, out.Owner, s)
-		g, err := fm.cm.GradientWeightedSolvedIn(wss[s], evs[s], coverCoef, cphi, betaMask)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: sensor %d gradient: %w", s, err)
-		}
-		grads[s] = g.Clone()
-	}
-	return out, grads, nil
+	return ev.Clone(), fm.Unstack(g), nil
 }
 
 // coverPhi returns sensor s's travel-time coupling Σ_i c_i ρ_{s,i} Φ_i

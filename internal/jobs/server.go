@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/coverage"
+	"repro/internal/obs"
 )
 
 // Handler returns the manager's HTTP/JSON API:
@@ -53,6 +54,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
+	case obs.TooLarge(err):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrSpec):
@@ -74,8 +77,7 @@ func (m *Manager) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&spec); err != nil {
+	if err := obs.DecodeJSON(w, r, &spec); err != nil {
 		writeError(w, errors.Join(ErrSpec, err))
 		return
 	}

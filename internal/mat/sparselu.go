@@ -56,7 +56,7 @@ func FactorSparse(a *Sparse, pivotRatio float64) (*SparseLU, error) {
 
 // FactorSparseOrdered is FactorSparse with a caller-supplied elimination
 // order (perm[k] = original index of ordered position k). The symbolic
-// analysis — FillOrder or RCMOrder — depends only on the sparsity
+// analysis — FillOrder — depends only on the sparsity
 // pattern, so callers that factor a sequence of matrices with identical
 // support (line-search probes, successive descent iterates) can compute
 // the ordering once and amortize it. A nil perm computes FillOrder(a)
@@ -391,7 +391,8 @@ func (f *SparseLU) SolveMultiTransTo(x, b []float64, k int) error {
 // sparsity pattern: vertices are eliminated lowest-degree-first with
 // explicit clique formation on a bitset adjacency, which tracks the fill
 // a factorization would actually create. On the 2D geometric supports
-// the markov sparse path factors, this cuts fill 2–4× versus RCMOrder.
+// the markov sparse path factors, this cuts fill 2–4× versus a
+// bandwidth-oriented reverse Cuthill–McKee ordering.
 // Near-dense rows (degree ≥ n/2 — the normalization row of the
 // stationary system) are excluded from the elimination graph and pinned
 // last, where they add no fill to any other row. The ordering depends
@@ -478,101 +479,7 @@ func FillOrder(a *Sparse) []int {
 			}
 		}
 	}
-	// Dense vertices eliminate last, in index order, as in RCMOrder.
-	for i := 0; i < n; i++ {
-		if dense[i] {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// RCMOrder returns a reverse Cuthill–McKee ordering of a's symmetrized
-// sparsity pattern. Near-dense rows (degree ≥ n/2 — the rank-one-shifted
-// last row of the Markov systems) are excluded from the BFS and pinned to
-// the end of the ordering, where their elimination adds no fill to any
-// other row. The ordering depends only on the pattern, so callers may
-// reuse it across FactorSparseOrdered calls on matrices with identical
-// support. Prefer FillOrder, which tracks actual fill instead of
-// bandwidth; RCMOrder remains for comparison and as a cheaper symbolic
-// pass on very large instances.
-func RCMOrder(a *Sparse) []int {
-	n := a.rows
-	// Symmetrized adjacency, diagonal excluded.
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			if int(c) != i {
-				deg[i]++
-				deg[c]++
-			}
-		}
-	}
-	adjPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		adjPtr[i+1] = adjPtr[i] + deg[i]
-	}
-	adj := make([]int32, adjPtr[n])
-	next := make([]int, n)
-	copy(next, adjPtr[:n])
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			if int(c) != i {
-				adj[next[i]] = c
-				next[i]++
-				adj[next[c]] = int32(i)
-				next[c]++
-			}
-		}
-	}
-
-	dense := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if deg[i] >= n/2 && n > 4 {
-			dense[i] = true
-		}
-	}
-
-	order := make([]int, 0, n)
-	visited := make([]bool, n)
-	// Cuthill–McKee BFS over the sparse vertices, lowest-degree start.
-	nbr := make([]int, 0, n)
-	for {
-		// Symmetrized degrees reach 2(n−1), so the sentinel must sit above
-		// that, not at n+1.
-		start, startDeg := -1, 2*n
-		for i := 0; i < n; i++ {
-			if !visited[i] && !dense[i] && deg[i] < startDeg {
-				start, startDeg = i, deg[i]
-			}
-		}
-		if start < 0 {
-			break
-		}
-		visited[start] = true
-		queue := []int{start}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			nbr = nbr[:0]
-			for _, vc := range adj[adjPtr[u]:adjPtr[u+1]] {
-				v := int(vc)
-				if !visited[v] && !dense[v] {
-					visited[v] = true
-					nbr = append(nbr, v)
-				}
-			}
-			slices.SortFunc(nbr, func(a, b int) int { return deg[a] - deg[b] })
-			queue = append(queue, nbr...)
-		}
-		order = append(order, queue...)
-	}
-	// Reverse (the "R" in RCM), then append the dense vertices in index
-	// order so they eliminate last.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	// Dense vertices eliminate last, in index order.
 	for i := 0; i < n; i++ {
 		if dense[i] {
 			order = append(order, i)

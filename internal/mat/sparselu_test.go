@@ -90,7 +90,7 @@ func TestFactorSparseSolvesLikeDense(t *testing.T) {
 }
 
 // TestFactorSparseDenseRowPinned checks the Markov shape specifically:
-// sparse rows plus one dense last row (the e_nπᵀ shift). The RCM ordering
+// sparse rows plus one dense last row (the e_nπᵀ shift). The fill ordering
 // pins the dense row last so the factor fill stays near the input fill.
 func TestFactorSparseDenseRowPinned(t *testing.T) {
 	src := rng.New(6)

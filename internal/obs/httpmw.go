@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -11,6 +14,29 @@ import (
 // on every response so clients can correlate their calls with the
 // server's log trail.
 const RequestIDHeader = "X-Request-ID"
+
+// MaxRequestBody bounds every JSON request body the services decode, so
+// one request cannot make a server buffer without limit before its
+// content is validated. Plans with transition matrices of a few hundred
+// PoIs are the largest bodies the services accept, and stay below it.
+const MaxRequestBody = 16 << 20
+
+// DecodeJSON decodes r's JSON body into v, reading at most MaxRequestBody
+// bytes. Past the limit it fails with an error that names the limit and
+// wraps *http.MaxBytesError; see TooLarge.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(v)
+	if TooLarge(err) {
+		return fmt.Errorf("request body exceeds the %d-byte limit: %w", MaxRequestBody, err)
+	}
+	return err
+}
+
+// TooLarge reports whether err comes from a request body past its
+// http.MaxBytesReader limit, which the services answer with 413.
+func TooLarge(err error) bool {
+	return errors.As(err, new(*http.MaxBytesError))
+}
 
 // statusWriter records the status code and body size of a response.
 // It deliberately implements http.Flusher by delegation: the deploy

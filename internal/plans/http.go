@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // MaxBatch bounds the query count of one /plans:query request: enough
@@ -60,6 +62,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
+	case obs.TooLarge(err):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrRequest):
@@ -70,8 +74,8 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrRequest, err))
+	if err := obs.DecodeJSON(w, r, &req); err != nil {
+		writeError(w, fmt.Errorf("%w: %w", ErrRequest, err))
 		return
 	}
 	if len(req.Queries) == 0 {
